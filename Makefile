@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt fmt-check test race bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke check-docs fuzz-smoke ci
+.PHONY: all build vet fmt fmt-check test race perfbench-check bench bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke check-docs fuzz-smoke ci
 
 all: build test
 
@@ -28,6 +28,15 @@ race:
 		./internal/proto/... ./internal/loadgen/... ./internal/upstream/... \
 		./internal/backend/... ./internal/apps/... ./internal/cache/... \
 		./internal/topology/... ./internal/admin/... ./internal/metrics/...
+
+# The benchmark (perfbench/) is a Go module of its own, so `go test ./...`
+# at the root never builds it: an internal API change that breaks the
+# benchmark host fails here instead of in a benchmark run (also run by the
+# CI perfbench job).
+perfbench-check:
+	$(GO) -C perfbench build ./...
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
@@ -96,4 +105,4 @@ fuzz-smoke:
 	$(GO) test ./internal/proto/hadoop -run='^$$' -fuzz=FuzzHadoopDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/grammar -run='^$$' -fuzz=FuzzGrammarRoundTrip -fuzztime=$(FUZZTIME)
 
-ci: build vet fmt-check check-docs test race bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke
+ci: build vet fmt-check check-docs test race perfbench-check bench-smoke bench-churn bench-rebalance bench-hotkey bench-shard admin-smoke origin-smoke fuzz-smoke

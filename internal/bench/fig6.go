@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -36,6 +37,11 @@ type Fig6Point struct {
 // counts and word lengths. The aggregator is compute-bound: throughput
 // grows with cores until the links (here: loopback memory bandwidth)
 // saturate, and longer words move more bytes per key/value pair.
+//
+// A cell's clock runs from the first mapper dial until the reducer reads
+// EOF, so it covers the whole aggregation, not just the mappers' writes
+// into socket buffers. The reducer's per-word totals must equal the
+// mappers' counts, or the cell fails.
 func RunFig6(cfg Fig6Config) ([]Fig6Point, error) {
 	if len(cfg.Cores) == 0 {
 		cfg.Cores = []int{1, 2, 4, 8, 16}
@@ -71,32 +77,22 @@ func runFig6Cell(cfg Fig6Config, wordLen, cores int) (Fig6Point, error) {
 		tr = netstack.NewUserNet()
 	}
 
-	// Reducer sink: drains and discards the aggregated stream.
+	// Reducer sink: sums the aggregated stream per word and reports the
+	// totals at EOF, when the aggregator has flushed everything.
 	rl, err := tr.Listen(listenAddr(tr, "reducer:1"))
 	if err != nil {
 		return Fig6Point{}, err
 	}
 	defer rl.Close()
+	reduced := make(chan reducerResult, 1)
 	go func() {
-		for {
-			c, err := rl.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer c.Close()
-				r := hadoop.NewReader(c)
-				for {
-					kv, err := r.Read()
-					if err != nil {
-						return
-					}
-					// Decoded pairs hold a reference to their pooled wire
-					// chunk; dropping it unreleased would drain the pool.
-					kv.Release()
-				}
-			}()
+		c, err := rl.Accept()
+		if err != nil {
+			reduced <- reducerResult{err: err}
+			return
 		}
+		defer c.Close()
+		reduced <- reduce(c)
 	}()
 
 	p := core.NewPlatform(core.Config{Workers: cores, Transport: tr})
@@ -118,6 +114,7 @@ func runFig6Cell(cfg Fig6Config, wordLen, cores int) (Fig6Point, error) {
 		mu     sync.Mutex
 		pairs  uint64
 		bytes  uint64
+		counts = make([]uint64, len(ds.Words)) // pairs sent per word
 		runErr error
 	)
 	for m := 0; m < cfg.Mappers; m++ {
@@ -128,6 +125,9 @@ func runFig6Cell(cfg Fig6Config, wordLen, cores int) (Fig6Point, error) {
 			mu.Lock()
 			pairs += res.Pairs
 			bytes += res.Bytes
+			for i, n := range res.Counts {
+				counts[i] += n
+			}
 			if err != nil && err != io.EOF && runErr == nil {
 				runErr = err
 			}
@@ -135,9 +135,21 @@ func runFig6Cell(cfg Fig6Config, wordLen, cores int) (Fig6Point, error) {
 		}(int64(m) + 1)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
 	if runErr != nil {
 		return Fig6Point{}, runErr
+	}
+	var red reducerResult
+	select {
+	case red = <-reduced:
+	case <-time.After(fig6ReduceTimeout):
+		return Fig6Point{}, fmt.Errorf("reducer saw no EOF within %v of the mappers finishing", fig6ReduceTimeout)
+	}
+	elapsed := time.Since(start)
+	if red.err != nil {
+		return Fig6Point{}, fmt.Errorf("reducer: %w", red.err)
+	}
+	if err := checkTotals(ds, counts, red.totals); err != nil {
+		return Fig6Point{}, err
 	}
 	return Fig6Point{
 		WordLen:        wordLen,
@@ -146,6 +158,61 @@ func runFig6Cell(cfg Fig6Config, wordLen, cores int) (Fig6Point, error) {
 		Pairs:          pairs,
 		Elapsed:        elapsed,
 	}, nil
+}
+
+// fig6ReduceTimeout bounds the wait for the aggregator's final flush
+// after the last mapper has written its stream.
+const fig6ReduceTimeout = 2 * time.Minute
+
+// reducerResult is what the reducer sink read before EOF.
+type reducerResult struct {
+	totals map[string]uint64
+	err    error
+}
+
+// reduce reads aggregated pairs until EOF and sums their counts per word.
+func reduce(r io.Reader) reducerResult {
+	res := reducerResult{totals: map[string]uint64{}}
+	hr := hadoop.NewReader(r)
+	for {
+		kv, err := hr.Read()
+		if err == io.EOF {
+			return res
+		}
+		if err != nil {
+			res.err = err
+			return res
+		}
+		n, perr := strconv.ParseUint(string(hadoop.Value(kv)), 10, 64)
+		res.totals[hadoop.Key(kv)] += n
+		// Decoded pairs hold a reference to their pooled wire chunk;
+		// dropping it unreleased would drain the pool.
+		kv.Release()
+		if perr != nil {
+			res.err = fmt.Errorf("aggregated value: %w", perr)
+			return res
+		}
+	}
+}
+
+// checkTotals compares the reducer's per-word totals with the counts the
+// mappers sent.
+func checkTotals(ds *loadgen.WordDataset, sent []uint64, got map[string]uint64) error {
+	want := map[string]uint64{}
+	for i, n := range sent {
+		if n > 0 {
+			want[string(ds.Words[i])] += n
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("reducer received %d distinct words, mappers sent %d", len(got), len(want))
+	}
+	for w, n := range want {
+		if got[w] != n {
+			return fmt.Errorf("word %q: reducer total %d, mappers sent %d", w, got[w], n)
+		}
+	}
+	return nil
 }
 
 // Fig6Table renders the figure.

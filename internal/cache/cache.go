@@ -160,6 +160,9 @@ type entry struct {
 	ageOff   int // Age digit zone offset inside raw (-1: none)
 	negative bool
 
+	// The deadlines are set before install and rewritten only by
+	// extendLocked, under fmu and every shard lock, so either lock
+	// suffices to read them.
 	born    int64 // install/extension stamp (UnixNano; Age base)
 	expires int64 // freshness deadline
 	stale   int64 // hard serve deadline (== expires without reval/StaleTTL)
@@ -701,18 +704,27 @@ func (c *Cache) newEntry(skey, base string, img []byte, si StoreInfo, ri RespInf
 // extendLocked re-arms a revalidated entry's deadlines after an upstream
 // 304 (fmu held): Age restarts from the validation instant per RFC 9111
 // §4.2.3, freshness gets a fresh TTL (capped by the 304's own max-age when
-// present).
+// present). Get reads the deadlines under one shard lock only, so the new
+// values are written holding every shard lock at once (fmu → shard.mu
+// order; fmu serialises the callers that take more than one): each hit
+// sees the old triple or the new one, never a mix.
 func (c *Cache) extendLocked(e *entry, ri RespInfo) {
 	ttl := c.ttl
 	if ri.TTL > 0 && ri.TTL < ttl {
 		ttl = ri.TTL
 	}
 	now := c.now()
-	e.born = now
-	e.expires = now + int64(ttl)
-	e.stale = e.expires
+	expires := now + int64(ttl)
+	stale := expires
 	if len(e.reval) > 0 && c.staleTTL > 0 {
-		e.stale += int64(c.staleTTL)
+		stale += int64(c.staleTTL)
+	}
+	for i := range c.shards {
+		c.shards[i].mu.Lock()
+	}
+	e.born, e.expires, e.stale = now, expires, stale
+	for i := range c.shards {
+		c.shards[i].mu.Unlock()
 	}
 }
 

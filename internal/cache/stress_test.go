@@ -219,3 +219,79 @@ func TestRevalUpstreamDeathServesStale(t *testing.T) {
 		t.Fatalf("stale_served = %d, want 3", got)
 	}
 }
+
+// TestGetRacesRevalidationExtend is the regression test for the race
+// between a hit and a 304 refresh: Get reads an entry's deadlines under
+// its shard lock while a revalidation's Fill re-arms them (extendLocked).
+// One goroutine hits from shard 1 while the main goroutine keeps pushing
+// the entry into its stale window from shard 0 and answering each claimed
+// revalidation with a 304. Under -race the test fails if the deadlines are
+// written without the shard locks; in any mode every 304 must re-arm the
+// entry so that it serves fresh again.
+func TestGetRacesRevalidationExtend(t *testing.T) {
+	c := newTestCache(t, Config{Proto: HTTPGet{}, Workers: 2,
+		TTL: 10 * time.Second, StaleTTL: time.Hour})
+	var clock atomic.Int64
+	c.now = clock.Load
+
+	req := decodeHTTP(t, true, reqA)
+	defer req.Release()
+	info := HTTPGet{}.Request(req)
+	f, leader := c.Begin(info, Waiter{})
+	if !leader {
+		t.Fatal("expected to lead")
+	}
+	resp := decodeHTTP(t, false, respSWR)
+	f.Fill([]byte(respSWR), HTTPGet{}.Response(resp))
+	resp.Release()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { // reader: hammers Get under the shard lock only
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v, ok, rv := c.Get(1, info)
+			if ok {
+				v.Release()
+			}
+			if rv != nil {
+				rv.Region.Release()
+				rv.F.Abort()
+			}
+		}
+	}()
+
+	refreshed := 0
+	for i := 0; i < 200; i++ {
+		clock.Store(int64(2*time.Second) + int64(i)*int64(time.Millisecond))
+		v, ok, rv := c.Get(0, info)
+		if !ok {
+			t.Fatalf("iteration %d: the stale entry stopped serving", i)
+		}
+		v.Release()
+		if rv != nil {
+			rv.Region.Release()
+			rv.F.Fill([]byte(notMod304), RespInfo{Match: true, NotModified: true})
+			refreshed++
+			// The 304 re-armed the deadlines from the current clock, so
+			// rewinding it must leave the entry fresh: no new claim.
+			clock.Store(0)
+			v, ok, rv := c.Get(0, info)
+			if !ok || rv != nil {
+				t.Fatalf("iteration %d: after a 304, hit=%v claimed=%v; want a fresh hit", i, ok, rv != nil)
+			}
+			v.Release()
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if refreshed == 0 {
+		t.Fatal("no revalidation was ever claimed from shard 0")
+	}
+}

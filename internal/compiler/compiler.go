@@ -87,13 +87,18 @@ func Compile(src string, cfg Config) (*Program, error) {
 	if err := p.resolveCodecs(cfg); err != nil {
 		return nil, err
 	}
+	// Every function gets its record first, so call sites bind the callee
+	// by pointer while bodies are lowered in any order.
+	for name := range checked.Funs {
+		p.funs[name] = &compiledFun{name: name}
+	}
 	lw := &lowerer{prog: p}
 	for name, f := range checked.Funs {
 		cf, err := lw.lowerFun(f)
 		if err != nil {
 			return nil, err
 		}
-		p.funs[name] = cf
+		*p.funs[name] = *cf
 	}
 	for _, proc := range checked.Prog.Procs {
 		pg, err := p.buildProcGraph(proc, cfg)

@@ -161,7 +161,7 @@ func (p *Program) portCodecs(ch *lang.ChanParam, cfg Config) (grammar.WireFormat
 
 // stageSpec is one compiled pipeline stage.
 type stageSpec struct {
-	fun  string
+	fun  *compiledFun
 	args []exprFn
 }
 
@@ -270,7 +270,7 @@ func (p *Program) buildPipeNode(proc *lang.ProcDecl, tmpl *core.Template,
 	lw.pushScope()
 	var stages []stageSpec
 	for _, st := range pipe.Stages {
-		spec := stageSpec{fun: st.Name}
+		spec := stageSpec{fun: p.funs[st.Name]}
 		for _, a := range st.Args {
 			af, err := lw.lowerExpr(a)
 			if err != nil {
@@ -286,23 +286,20 @@ func (p *Program) buildPipeNode(proc *lang.ProcDecl, tmpl *core.Template,
 		dstEdge = planned[dstName].first
 	}
 
-	prog := p
-	procName := proc.Name
+	globals := p.globals[proc.Name]
+	comp.NewState = func() any { return &callStack{} }
 	comp.Fn = func(ctx *core.NodeCtx, v value.Value, _ int) {
-		fr := Frame{
-			globals: prog.globals[procName],
-			emit:    ctx.Emit,
-			instID:  ctx.Instance().ID(),
-			route:   ctx.Instance().Router(),
-		}
+		fr := ctx.State.(*callStack).rootFrame(globals, ctx)
 		cur := v
 		for _, st := range stages {
-			vals := make([]value.Value, 0, len(st.args)+1)
-			for _, af := range st.args {
-				vals = append(vals, af(&fr))
+			// Stage arguments go straight into the stage's locals, the
+			// piped value last (the checker fixed the arity).
+			sfr := st.fun.enter(fr)
+			for i, af := range st.args {
+				sfr.locals[i] = af(fr)
 			}
-			vals = append(vals, cur)
-			cur = prog.funs[st.fun].call(&fr, vals)
+			sfr.locals[len(st.args)] = cur
+			cur = st.fun.exec(sfr)
 		}
 		if dstEdge >= 0 {
 			ctx.Emit(dstEdge, cur)
@@ -352,9 +349,57 @@ func channelRefs(e lang.Expr, channels map[string]*chanNodes) []string {
 
 // foldtState accumulates per-key partial aggregates in one tree node.
 type foldtState struct {
-	acc       map[string]value.Value
-	order     []string // insertion order for stable flushing
-	remaining int      // open in-edges
+	slot      map[string]int // key → index into keys and acc
+	keys      []string       // in insertion order
+	acc       []value.Value
+	remaining int // open in-edges
+	stk       callStack
+}
+
+// lookup returns the accumulator slot of key k, a string or bytes value,
+// or -1. A bytes key is looked up without converting it to a string.
+func (st *foldtState) lookup(k value.Value) int {
+	var (
+		i  int
+		ok bool
+	)
+	if k.Kind == value.KindBytes {
+		i, ok = st.slot[string(k.B)]
+	} else {
+		i, ok = st.slot[k.AsString()]
+	}
+	if !ok {
+		return -1
+	}
+	return i
+}
+
+// add folds v into the accumulator of its key (order(v)), running
+// combine(acc, v) when the key is already present.
+func (st *foldtState) add(fr *Frame, order, combine *compiledFun, v value.Value) {
+	key := order.call(fr, []value.Value{v})
+	if i := st.lookup(key); i >= 0 {
+		// Own the result: a combine function may return v itself, a
+		// record carrying v's region, or a nested view of v that carries
+		// no region pointer at all — in every case the pooled bytes die
+		// when the runtime releases v after this activation, and only an
+		// unconditional deep copy cannot be fooled by region-less
+		// aliases. A function that ends in a record constructor already
+		// returns owned bytes.
+		res := combine.call(fr, []value.Value{st.acc[i], v})
+		if !combine.fresh {
+			res = value.Owned(res)
+		}
+		st.acc[i] = res
+		return
+	}
+	// The accumulator outlives this task activation, but v's byte views
+	// die with the pooled wire buffer when the runtime releases the
+	// message after Fn returns — store an owned copy.
+	k := key.AsString()
+	st.slot[k] = len(st.keys)
+	st.keys = append(st.keys, k)
+	st.acc = append(st.acc, value.Owned(v))
 }
 
 // buildFoldt expands `foldt combine order mappers => reducer` into a binary
@@ -377,36 +422,17 @@ func (p *Program) buildFoldt(proc *lang.ProcDecl, tmpl *core.Template,
 		return fmt.Errorf("compiler: foldt destination %q must be a scalar writable channel", x.Dst)
 	}
 
-	prog := p
-	procName := proc.Name
-	combine, order := x.Combine, x.Order
+	globals := p.globals[proc.Name]
+	combine, order := p.funs[x.Combine], p.funs[x.Order]
 
 	makeCombine := func(level, i, fanIn int) *core.Node {
 		n := tmpl.AddCompute(fmt.Sprintf("combine_L%d_%d", level, i), nil)
 		n.NewState = func() any {
-			return &foldtState{acc: map[string]value.Value{}, remaining: fanIn}
+			return &foldtState{slot: map[string]int{}, remaining: fanIn}
 		}
 		n.Fn = func(ctx *core.NodeCtx, v value.Value, _ int) {
 			st := ctx.State.(*foldtState)
-			fr := Frame{globals: prog.globals[procName], emit: ctx.Emit,
-				instID: ctx.Instance().ID(), route: ctx.Instance().Router()}
-			key := prog.funs[order].call(&fr, []value.Value{v}).AsString()
-			if prev, ok := st.acc[key]; ok {
-				// Own unconditionally: a combine function may return v
-				// itself, a record carrying v's region, or a nested view of
-				// v that carries no region pointer at all — in every case
-				// the pooled bytes die when the runtime releases v after
-				// this activation, and only an unconditional deep copy
-				// cannot be fooled by region-less aliases.
-				st.acc[key] = value.Owned(prog.funs[combine].call(&fr, []value.Value{prev, v}))
-			} else {
-				// The accumulator outlives this task activation, but v's
-				// byte views die with the pooled wire buffer when the
-				// runtime releases the message after Fn returns — store an
-				// owned copy.
-				st.acc[key] = value.Owned(v)
-				st.order = append(st.order, key)
-			}
+			st.add(st.stk.rootFrame(globals, ctx), order, combine, v)
 		}
 		n.OnEOF = func(ctx *core.NodeCtx, _ int) {
 			st := ctx.State.(*foldtState)
@@ -416,13 +442,13 @@ func (p *Program) buildFoldt(proc *lang.ProcDecl, tmpl *core.Template,
 			}
 			// All inputs drained: flush partial aggregates downstream in
 			// key order (the k-way-merge discipline of §4.3).
-			keys := append([]string{}, st.order...)
+			keys := append([]string{}, st.keys...)
 			sortStrings(keys)
 			for _, k := range keys {
-				ctx.Emit(0, st.acc[k])
+				ctx.Emit(0, st.acc[st.slot[k]])
 			}
-			st.acc = map[string]value.Value{}
-			st.order = nil
+			st.slot = map[string]int{}
+			st.keys, st.acc = nil, nil
 		}
 		return n
 	}

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"flick/internal/lang"
@@ -66,9 +67,30 @@ func (lw *lowerer) lowerFun(f *lang.FunDecl) (*compiledFun, error) {
 		nParams: len(f.Params),
 		nLocals: lw.max,
 		body:    body,
+		fresh:   lw.endsInConstructor(f.Body),
 	}
 	lw.popScope()
 	return cf, nil
+}
+
+// endsInConstructor reports whether a function body's last statement is a
+// record constructor call. That statement runs unconditionally and sets
+// the return value last, so the function always returns a record the
+// constructor built, which owns every byte it carries (lowerCall).
+func (lw *lowerer) endsInConstructor(body []lang.Stmt) bool {
+	if len(body) == 0 {
+		return false
+	}
+	es, ok := body[len(body)-1].(*lang.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := es.X.(*lang.CallExpr)
+	if !ok {
+		return false
+	}
+	_, isCtor := lw.prog.descs[call.Name]
+	return isCtor
 }
 
 func (lw *lowerer) lowerBlock(stmts []lang.Stmt) ([]stmtFn, error) {
@@ -204,12 +226,12 @@ func (lw *lowerer) lowerSend(valExpr, dstExpr lang.Expr) (stmtFn, error) {
 	}
 	return func(fr *Frame) {
 		d := dst(fr)
-		if ref, ok := d.X.(ChanRef); ok && fr.emit != nil {
+		if ref, ok := d.X.(ChanRef); ok && fr.node != nil {
 			// No copy: emitted values carry their backing region (whole
 			// pooled records via NewOwned, field/element views via
 			// value.Borrow in the access lowerings), and Chan.Push retains
 			// that region for the downstream consumer.
-			fr.emit(ref.Out, val(fr))
+			fr.node.Emit(ref.Out, val(fr))
 		}
 	}, nil
 }
@@ -458,14 +480,17 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 			}
 			args[i] = f
 		}
-		prog := lw.prog
-		name := x.Name
+		// Compile creates every function's record before lowering any
+		// body, so the callee resolves here even if it is lowered later.
+		callee := lw.prog.funs[x.Name]
 		return func(fr *Frame) value.Value {
-			vals := make([]value.Value, len(args))
+			// Arguments are evaluated into the callee's locals; calls
+			// inside them run one frame deeper and pop before we exec.
+			cfr := callee.enter(fr)
 			for i, af := range args {
-				vals[i] = af(fr)
+				cfr.locals[i] = af(fr)
 			}
-			return prog.funs[name].call(fr, vals)
+			return callee.exec(cfr)
 		}, nil
 	}
 
@@ -495,10 +520,10 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 	case "instance_id":
 		return func(fr *Frame) value.Value { return value.Int(fr.instID) }, nil
 	case "string_to_int":
-		return func(fr *Frame) value.Value { return value.Int(stringToInt(args[0](fr).AsString())) }, nil
+		return func(fr *Frame) value.Value { return value.Int(valueToInt(args[0](fr))) }, nil
 	case "int_to_string":
 		return func(fr *Frame) value.Value {
-			return value.Str(fmt.Sprintf("%d", args[0](fr).AsInt()))
+			return value.Str(strconv.FormatInt(args[0](fr).AsInt(), 10))
 		}, nil
 	case "split_words":
 		return func(fr *Frame) value.Value { return splitWords(args[0](fr).AsString()) }, nil
@@ -516,8 +541,7 @@ func (lw *lowerer) lowerCall(x *lang.CallExpr) (exprFn, error) {
 
 // lowerIter compiles map/filter/fold.
 func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
-	fname := x.Args[0].(*lang.Ident).Name
-	prog := lw.prog
+	fn := lw.prog.funs[x.Args[0].(*lang.Ident).Name]
 	switch x.Name {
 	case "map":
 		list, err := lw.lowerExpr(x.Args[1])
@@ -531,7 +555,9 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 				// Detach per element: a body returning a region-backed view
 				// would leave the result list with elements whose lifetime
 				// the list's (nil) region cannot express.
-				out[i] = value.Detach(prog.funs[fname].call(fr, []value.Value{value.Borrow(el, xs.O)}))
+				cfr := fn.enter(fr)
+				cfr.locals[0] = value.Borrow(el, xs.O)
+				out[i] = value.Detach(fn.exec(cfr))
 			}
 			return value.List(out...)
 		}, nil
@@ -544,7 +570,9 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			xs := list(fr)
 			var out []value.Value
 			for _, el := range xs.L {
-				if prog.funs[fname].call(fr, []value.Value{value.Borrow(el, xs.O)}).AsBool() {
+				cfr := fn.enter(fr)
+				cfr.locals[0] = value.Borrow(el, xs.O)
+				if fn.exec(cfr).AsBool() {
 					out = append(out, el)
 				}
 			}
@@ -565,7 +593,9 @@ func (lw *lowerer) lowerIter(x *lang.CallExpr) (exprFn, error) {
 			a := acc(fr)
 			xs := list(fr)
 			for _, el := range xs.L {
-				a = prog.funs[fname].call(fr, []value.Value{a, value.Borrow(el, xs.O)})
+				cfr := fn.enter(fr)
+				cfr.locals[0], cfr.locals[1] = a, value.Borrow(el, xs.O)
+				a = fn.exec(cfr)
 			}
 			return a
 		}, nil

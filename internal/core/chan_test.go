@@ -107,16 +107,43 @@ func TestChanSchedulesConsumer(t *testing.T) {
 	}
 }
 
+// TestChanSaturated pins the flow-control thresholds: ParkFull parks a
+// producer only at HighWater, Pop wakes it once the depth reaches
+// LowWater and not before, and a closed channel parks nobody.
 func TestChanSaturated(t *testing.T) {
+	s := NewScheduler(1, NonCooperative) // never started: wakeups stay queued
+	producer := s.NewTask("producer", func(*ExecCtx) RunResult { return RunIdle })
+	ctx := &ExecCtx{sched: s, task: producer}
 	c := NewChan(4)
-	if c.Saturated() {
-		t.Fatal("empty channel saturated")
-	}
-	for i := 0; i < HighWater; i++ {
+	for i := 0; i < HighWater-1; i++ {
 		c.Push(value.Int(1))
 	}
-	if !c.Saturated() {
-		t.Fatal("full channel not saturated")
+	if c.ParkFull(ctx) {
+		t.Fatal("parked below HighWater")
+	}
+	c.Push(value.Int(1))
+	if !c.ParkFull(ctx) || !c.ParkFull(ctx) {
+		t.Fatal("did not park at HighWater")
+	}
+	if n := len(c.parked); n != 1 {
+		t.Fatalf("parking twice registered %d entries, want 1", n)
+	}
+	for c.Len() > LowWater+1 {
+		c.Pop()
+	}
+	if TaskState(producer.state.Load()) != TaskIdle {
+		t.Fatal("producer woken above LowWater")
+	}
+	c.Pop()
+	if TaskState(producer.state.Load()) != TaskQueued || len(c.parked) != 0 {
+		t.Fatal("producer not woken at LowWater")
+	}
+	for c.Len() < HighWater {
+		c.Push(value.Int(1))
+	}
+	c.Close()
+	if c.ParkFull(ctx) {
+		t.Fatal("closed channel parked a producer")
 	}
 }
 

@@ -102,6 +102,7 @@ type computeState struct {
 	edgeClosed []bool
 	open       int
 	state      any
+	nctx       NodeCtx // reused by every activation (runCompute)
 }
 
 // NewInstance builds a runtime graph. Validate the template first.
@@ -166,7 +167,9 @@ func NewInstance(tmpl *Template, sched *Scheduler) *Instance {
 // the non-persistent connection path.
 func (inst *Instance) initRuntime() {
 	inst.active.Store(false)
-	inst.liveTasks.Store(int32(len(inst.tmpl.nodes)))
+	// One count per task, plus one that Start holds until it returns (see
+	// Start).
+	inst.liveTasks.Store(int32(len(inst.tmpl.nodes)) + 1)
 	inst.shutdown.Store(false)
 	inst.finished = make(chan struct{})
 	for _, n := range inst.tmpl.nodes {
@@ -325,7 +328,14 @@ func (inst *Instance) Bind(port int, conn net.Conn) {
 // Start activates the instance: event callbacks are registered, pump
 // goroutines start for kernel connections, and every input task is
 // scheduled once to consume any pending bytes.
+//
+// Start holds one count of liveTasks until it returns. Tasks it has
+// already scheduled can run the whole binding to completion while Start
+// is still walking later nodes (a short connection, a slow dispatcher
+// goroutine); without the count the instance could then finish, return to
+// the pool and be rebound while Start still reads and writes its state.
 func (inst *Instance) Start() {
+	defer inst.taskDone()
 	inst.active.Store(true)
 	for _, n := range inst.tmpl.nodes {
 		if n.Kind != NodeInput {
@@ -377,10 +387,10 @@ func (inst *Instance) pump(st *inputState, task *Task) {
 }
 
 // taskDone runs (via Task.onDone, after the scheduler finalises the task's
-// state) exactly once per node when its task returns RunDone. When the last
-// task of the instance terminates the instance is finished and may be
-// recycled by the pool — the ordering guarantees no scheduler store can
-// clobber a Reset.
+// state) exactly once per node when its task returns RunDone, and once
+// when Start returns. When the last of them runs the instance is finished
+// and may be recycled by the pool — the ordering guarantees no scheduler
+// store can clobber a Reset.
 func (inst *Instance) taskDone() {
 	if inst.liveTasks.Add(-1) == 0 {
 		close(inst.finished)
@@ -438,8 +448,8 @@ func (inst *Instance) runInput(ctx *ExecCtx, n *Node) RunResult {
 	stampPrimary := inst.lrt != nil && st.port >= 0 && inst.tmpl.ports[st.port].Primary
 	lnow := int64(-1)
 	for {
-		if out.Saturated() {
-			return RunYield
+		if out.ParkFull(ctx) {
+			return RunIdle // rescheduled when the consumer drains (Chan.ParkFull)
 		}
 		st.mu.Lock()
 		msg, ok, derr := st.dec.Decode(st.q)
@@ -551,11 +561,15 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 	}
 	cs := inst.compRT[n.ID]
 	ins := inst.nodeIn[n.ID]
-	nctx := NodeCtx{inst: inst, node: n, State: cs.state, exec: ctx}
+	// The node context lives in the node's runtime state: a node runs on
+	// one worker at a time, so reusing it is safe and keeps the activation
+	// off the heap.
+	nctx := &cs.nctx
+	*nctx = NodeCtx{inst: inst, node: n, State: cs.state, exec: ctx}
 	for {
 		for _, ch := range inst.nodeOut[n.ID] {
-			if ch.Saturated() {
-				return RunYield
+			if ch.ParkFull(ctx) {
+				return RunIdle // rescheduled when the consumer drains (Chan.ParkFull)
 			}
 		}
 		progressed := false
@@ -565,7 +579,7 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 			}
 			v, ok, closed := ch.Pop()
 			if ok {
-				n.Fn(&nctx, v, i)
+				n.Fn(nctx, v, i)
 				// Drop the channel's reference. Emitted copies were
 				// re-retained by the downstream Push; values the body
 				// stored into globals were detached by Dict.Set.
@@ -581,7 +595,7 @@ func (inst *Instance) runCompute(ctx *ExecCtx, n *Node) RunResult {
 				cs.open--
 				progressed = true
 				if n.OnEOF != nil {
-					n.OnEOF(&nctx, i)
+					n.OnEOF(nctx, i)
 				}
 			}
 		}
@@ -718,7 +732,8 @@ func (st *outputState) flush() {
 	}
 }
 
-// NodeCtx is passed to compute bodies.
+// NodeCtx is passed to compute bodies. It is valid only during the call:
+// each compute node reuses one context for all its activations.
 type NodeCtx struct {
 	inst  *Instance
 	node  *Node

@@ -102,6 +102,14 @@ type worker struct {
 	parks     atomic.Uint64
 	scheduled atomic.Uint64
 	_         [4]uint64 // pad to a cache line with the counters above
+
+	// ctx is the execution context every activation on this worker
+	// reuses (owner-only). Task bodies are called indirectly, so a
+	// context built per run would escape to the heap. The line of padding
+	// keeps the per-run writes to ctx off the cache line that other
+	// workers' enqueues write (scheduled).
+	_   [64]byte
+	ctx ExecCtx
 }
 
 func newWorker() *worker {
@@ -478,15 +486,18 @@ func (s *Scheduler) run(t *Task, wid int) {
 	me := s.workers[wid]
 	me.executed.Add(1)
 	t.runs.Add(1)
-	ctx := ExecCtx{
+	ctx := &me.ctx
+	*ctx = ExecCtx{
 		sched:    s,
 		task:     t,
 		worker:   wid,
-		started:  time.Now(),
 		quantum:  s.policy.Quantum,
 		maxItems: s.policy.MaxItems,
 	}
-	res := t.fn(&ctx)
+	if ctx.quantum > 0 {
+		ctx.started = time.Now()
+	}
+	res := t.fn(ctx)
 	t.itemsRun.Add(uint64(ctx.items))
 
 	if res == RunDone {

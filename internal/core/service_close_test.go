@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flick/internal/netstack"
+	"flick/internal/value"
 )
 
 // Regression (PR 3): Service.Close used to close only the listener and the
@@ -168,5 +169,81 @@ func TestOutputWriteErrorShutsDownInstance(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("instance still live %v after output write error:\n%s",
 			5*time.Second, inst.DebugString())
+	}
+}
+
+// slowRegisterConn is an event-driven stub whose SetReadableCallback
+// blocks (when registering) until the instance it is bound to finishes or
+// a grace period passes, simulating a dispatcher goroutine descheduled in
+// the middle of Instance.Start. Reads report EOF once the conn is closed.
+type slowRegisterConn struct {
+	failWriteConn
+	inst          *Instance
+	finishedEarly chan bool
+}
+
+func (c *slowRegisterConn) SetReadableCallback(fn func()) {
+	if fn == nil {
+		return // beginShutdown unregistering
+	}
+	select {
+	case <-c.inst.Finished():
+		c.finishedEarly <- true
+	case <-time.After(100 * time.Millisecond):
+		c.finishedEarly <- false
+	}
+}
+
+func (c *slowRegisterConn) TryRead(p []byte) (int, error) {
+	select {
+	case <-c.closed:
+		return 0, io.EOF
+	default:
+		return 0, nil
+	}
+}
+
+// TestStartHoldsInstanceUntilReturn is the regression test for an
+// instance recycled under Start: the tasks Start schedules first can run
+// the whole binding to completion while Start is still registering later
+// inputs, and the finished instance then went back to the pool (Reset,
+// rebinding) while Start kept reading and writing its state. Start now
+// holds a liveTasks count until it returns, so the instance cannot finish
+// before that.
+func TestStartHoldsInstanceUntilReturn(t *testing.T) {
+	s := NewScheduler(2, Cooperative)
+	s.Start()
+	defer s.Stop()
+
+	tmpl := NewTemplate("start")
+	a := tmpl.AddInput("a", lineCodec)
+	b := tmpl.AddInput("b", lineCodec)
+	sink := tmpl.AddCompute("sink", func(*NodeCtx, value.Value, int) {})
+	tmpl.Connect(a, sink)
+	tmpl.Connect(b, sink)
+	tmpl.AddPort("a", a, nil, true)
+	tmpl.AddPort("b", b, nil, false)
+	if err := tmpl.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	inst := NewInstance(tmpl, s)
+	client, server := net.Pipe()
+	client.Close() // the primary input reads EOF at once and shuts down
+	inst.Bind(0, server)
+	slow := &slowRegisterConn{
+		failWriteConn: failWriteConn{closed: make(chan struct{})},
+		inst:          inst,
+		finishedEarly: make(chan bool, 1),
+	}
+	inst.Bind(1, slow)
+
+	inst.Start()
+	if <-slow.finishedEarly {
+		t.Fatal("instance finished while Start was still registering its inputs")
+	}
+	select {
+	case <-inst.Finished():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("instance never finished after Start returned\n%s", inst.DebugString())
 	}
 }

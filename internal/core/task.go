@@ -93,7 +93,9 @@ func (t *Task) Items() uint64 { return t.itemsRun.Load() }
 func (t *Task) Done() bool { return t.done.Load() }
 
 // ExecCtx is passed to a running task body. It carries the scheduling
-// policy's bounds so bodies can cooperate.
+// policy's bounds so bodies can cooperate. It is valid only during the
+// activation it is passed to: each worker reuses one context for all its
+// runs.
 type ExecCtx struct {
 	sched    *Scheduler
 	task     *Task

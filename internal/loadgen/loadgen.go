@@ -338,6 +338,9 @@ func NewWordDataset(wordLen, distinct int, seed int64) *WordDataset {
 type EmitterResult struct {
 	Pairs uint64
 	Bytes uint64
+	// Counts[i] is how many pairs carried Words[i]: the per-word totals an
+	// aggregator must reproduce.
+	Counts []uint64
 }
 
 // RunMapper streams totalBytes of key/value pairs (word → "1") to the
@@ -353,18 +356,19 @@ func (ds *WordDataset) RunMapper(tr netstack.Transport, addr string, totalBytes 
 	hw := hadoop.NewWriter(w)
 	rng := rand.New(rand.NewSource(seed))
 	one := []byte("1")
-	var pairs uint64
+	res := EmitterResult{Counts: make([]uint64, len(ds.Words))}
 	for w.n < totalBytes {
-		word := ds.Words[rng.Intn(len(ds.Words))]
-		if err := hw.Write(word, one); err != nil {
-			return EmitterResult{Pairs: pairs, Bytes: uint64(w.n)}, err
+		i := rng.Intn(len(ds.Words))
+		if err := hw.Write(ds.Words[i], one); err != nil {
+			res.Bytes = uint64(w.n)
+			return res, err
 		}
-		pairs++
+		res.Pairs++
+		res.Counts[i]++
 	}
-	if err := hw.Flush(); err != nil {
-		return EmitterResult{Pairs: pairs, Bytes: uint64(w.n)}, err
-	}
-	return EmitterResult{Pairs: pairs, Bytes: uint64(w.n)}, nil
+	err = hw.Flush()
+	res.Bytes = uint64(w.n)
+	return res, err
 }
 
 // countingWriter tracks bytes written.

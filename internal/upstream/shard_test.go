@@ -496,6 +496,11 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 		bmu      sync.Mutex
 		backends []interface{ Close() error }
 	)
+	// mute closes before the doomed requests are written: from then on
+	// the backends swallow frames instead of echoing, so each doomed
+	// request is still unanswered when its backend dies and the session's
+	// next read can only be EOF.
+	mute := make(chan struct{})
 	go func() {
 		for {
 			c, err := l.Accept()
@@ -506,7 +511,7 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 			backends = append(backends, c)
 			bmu.Unlock()
 			go func() {
-				// Echo until killed.
+				// Echo until muted, then swallow frames until killed.
 				for {
 					var h [4]byte
 					if _, err := io.ReadFull(c, h[:]); err != nil {
@@ -515,6 +520,11 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 					p := make([]byte, int(uint32(h[0])<<24|uint32(h[1])<<16|uint32(h[2])<<8|uint32(h[3])))
 					if _, err := io.ReadFull(c, p); err != nil {
 						return
+					}
+					select {
+					case <-mute:
+						continue
+					default:
 					}
 					if _, err := c.Write(frame(string(p))); err != nil {
 						return
@@ -542,6 +552,7 @@ func TestShardedMidStreamFailureBalancesRefs(t *testing.T) {
 	}
 	// Leave one request in flight on each shard's socket, then kill every
 	// backend connection.
+	close(mute)
 	for w, s := range sessions {
 		if _, err := s.Write(frame(fmt.Sprintf("doomed-%d", w))); err != nil {
 			t.Fatal(err)

@@ -323,11 +323,10 @@ func (m *Manager) stealLive(addr string, exclude int) *Session {
 		if !p.retired {
 			c = p.anyLive()
 		}
-		p.mu.Unlock()
 		if c != nil {
-			m.reuse.Inc()
-			return c.newSession()
+			return p.reuseLocked(c)
 		}
+		p.mu.Unlock()
 	}
 	return nil
 }
@@ -533,18 +532,14 @@ func (p *pool) lease() (*Session, error) {
 		p.rr++
 		c := p.slots[slot]
 		if c != nil && !c.isBroken() {
-			p.mu.Unlock()
-			p.m.reuse.Inc()
-			return c.newSession(), nil
+			return p.reuseLocked(c), nil
 		}
 		if !p.dialing[slot] {
 			if time.Now().Before(p.downUntil) {
 				// Backoff window open: any live socket in another slot
 				// still serves leases; fail fast only with none at all.
 				if alt := p.anyLive(); alt != nil {
-					p.mu.Unlock()
-					p.m.reuse.Inc()
-					return alt.newSession(), nil
+					return p.reuseLocked(alt), nil
 				}
 				p.mu.Unlock()
 				// The caller (LeaseOn) counts failfast: a lease that a
@@ -556,12 +551,27 @@ func (p *pool) lease() (*Session, error) {
 		}
 		// Another lease is dialling this slot: any live socket will do.
 		if alt := p.anyLive(); alt != nil {
-			p.mu.Unlock()
-			p.m.reuse.Inc()
-			return alt.newSession(), nil
+			return p.reuseLocked(alt), nil
 		}
 		p.cond.Wait() // no socket anywhere: wait for the dial, re-evaluate
 	}
+}
+
+// reuseLocked leases a session on the live socket c and releases p.mu,
+// which the caller holds. The session attaches before p.mu is released:
+// a retire of this pool then either ran first, and lease refused with
+// ErrRetired, or finds the session attached and leaves the socket open
+// until it detaches. Attaching after the unlock would let a retire drain
+// the socket in between and hand the caller a session born at EOF, whose
+// requests are never answered.
+func (p *pool) reuseLocked(c *conn) *Session {
+	s, ok := c.attach()
+	p.mu.Unlock()
+	p.m.reuse.Inc()
+	if !ok {
+		s.deliverEOF() // the socket broke between the liveness check and the attach
+	}
+	return s
 }
 
 // anyLive returns a live socket from any slot (nil when none). p.mu held.
@@ -616,9 +626,14 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 	// flag — a socket can never outlive a closed manager. Retirement gets
 	// the same treatment: a SetBackends that raced this dial (retire ran
 	// while p.mu was released) must not receive a live socket on a pool
-	// nothing tracks any more.
+	// nothing tracks any more. Otherwise the session attaches under p.mu,
+	// for the reason reuseLocked gives.
 	closed := p.m.closed.Load()
 	retired := p.retired
+	var s *Session
+	if !closed && !retired {
+		s, _ = c.attach() // a socket not yet started cannot be broken
+	}
 	p.mu.Unlock()
 	c.start()
 	if closed {
@@ -630,7 +645,7 @@ func (p *pool) dialSlot(slot int) (*Session, error) {
 		p.sh.reapDrained(p)
 		return nil, fmt.Errorf("%w: %s", ErrRetired, p.addr)
 	}
-	return c.newSession(), nil
+	return s, nil
 }
 
 // conn is one shared pipelined socket plus its FIFO correlation state.
@@ -885,21 +900,19 @@ func (c *conn) fail(err error) {
 	_ = err // the failure surfaces to sessions as EOF; err is for debuggers
 }
 
-// newSession attaches a fresh virtual connection to the socket.
-func (c *conn) newSession() *Session {
+// attach creates a virtual connection on the socket and registers it,
+// reporting false when the socket is already broken. An unregistered
+// session must be handed out at EOF (deliverEOF), exactly as if its
+// dedicated backend connection had dropped.
+func (c *conn) attach() (*Session, bool) {
 	s := newSession(c)
 	c.mu.Lock()
-	broken := c.broken
-	if !broken {
+	ok := !c.broken
+	if ok {
 		c.sessions[s] = struct{}{}
 	}
 	c.mu.Unlock()
-	if broken {
-		// The socket died between lease and attach: the session is born at
-		// EOF, exactly as if its dedicated backend connection had dropped.
-		s.deliverEOF()
-	}
-	return s
+	return s, ok
 }
 
 // removeSession detaches a closed session and wakes writers (a blocked
